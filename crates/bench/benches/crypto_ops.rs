@@ -6,9 +6,10 @@ use std::hint::black_box;
 use sbft_bench::micro::Bench;
 use sbft_core::{KeyMaterial, ProtocolConfig, VariantFlags};
 use sbft_crypto::{
-    batch_verify_share_items, generate_threshold_keys, sha256, FixedBaseTable, KeyPair, Scalar,
-    ShareVerifyItem, SignatureShare,
+    batch_verify_share_items, generate_threshold_keys, sha256, KeyPair, Scalar, ShareVerifyItem,
+    SignatureShare,
 };
+use sbft_statedb::crc32;
 use sbft_types::ClientId;
 
 fn main() {
@@ -94,19 +95,28 @@ fn main() {
             black_box(keys.public.client_keys(ClientId::new(id)))
         })
     });
-    c.bench_function("fixed_base_table_mul", |b| {
-        let base = sbft_crypto::GroupElement::generator().mul(&Scalar::from_u64(0xabcd));
-        let table = FixedBaseTable::new(&base);
-        let s = Scalar::from_digest(&sha256(b"scalar"));
-        b.iter(|| black_box(table.mul(&s)))
-    });
     c.bench_function("variable_base_mul", |b| {
         let base = sbft_crypto::GroupElement::generator().mul(&Scalar::from_u64(0xabcd));
         let s = Scalar::from_digest(&sha256(b"scalar"));
         b.iter(|| black_box(base.mul(&s)))
     });
+    c.bench_function("sha256_64B", |b| {
+        // One trie branch node: two child digests.
+        let data = [0xabu8; 64];
+        b.iter(|| black_box(sha256(black_box(&data))))
+    });
     c.bench_function("sha256_1k", |b| {
         let data = vec![0xabu8; 1024];
-        b.iter(|| black_box(sha256(&data)))
+        b.iter(|| black_box(sha256(black_box(&data))))
+    });
+    c.bench_function("sha256_5k", |b| {
+        // One EVM batch payload (~50 txs).
+        let data = vec![0xabu8; 5 * 1024];
+        b.iter(|| black_box(sha256(black_box(&data))))
+    });
+    c.bench_function("crc32_64k", |b| {
+        // A WAL record or snapshot seal over 64 KiB.
+        let data = vec![0xabu8; 64 * 1024];
+        b.iter(|| black_box(crc32(black_box(&data))))
     });
 }

@@ -2,8 +2,8 @@
 //!
 //! Runs the five protocol variants of §IX on identical simulated
 //! substrates and extracts the measurements the paper reports. Each
-//! table/figure has a binary under `src/bin/` (see `DESIGN.md` §4 for the
-//! index); this library holds the shared machinery.
+//! table/figure has a binary under `src/bin/` (listed in the README's
+//! "Benchmarks"); this library holds the shared machinery.
 
 pub mod driver;
 pub mod micro;

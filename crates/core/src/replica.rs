@@ -117,6 +117,20 @@ struct Slot {
     exec_proof_sent: bool,
     acks_sent: bool,
     exec_timer_set: bool,
+    // --- collector sets, computed once per (seq, view) ---
+    /// C-collectors of `(seq, view)` for the view they were computed in.
+    c_collectors: Option<(ViewNum, Vec<ReplicaId>)>,
+    /// E-collectors of `seq` (always chosen in view 0).
+    e_collectors: Option<Vec<ReplicaId>>,
+}
+
+/// A client's latest executed request: a §V-A resend of it is answered
+/// from here even after the stable checkpoint dropped its block's
+/// execution artifacts.
+struct LatestExecuted {
+    timestamp: u64,
+    seq: SeqNum,
+    result: Vec<u8>,
 }
 
 /// The SBFT replica node.
@@ -187,8 +201,8 @@ pub struct ReplicaNode {
     verified_order: VecDeque<(u32, u64)>,
 
     // Execution bookkeeping.
-    /// Highest executed timestamp per client.
-    client_table: HashMap<u32, u64>,
+    /// Latest executed request per client, with its result.
+    client_table: HashMap<u32, LatestExecuted>,
     /// `(client, timestamp) → (seq, index)` for executed requests.
     executed_requests: HashMap<(u32, u64), (SeqNum, u32)>,
     /// Requests this replica knows are outstanding (liveness watchdog).
@@ -531,18 +545,43 @@ impl ReplicaNode {
         self.slots.entry(seq.get()).or_default()
     }
 
-    fn my_c_collector_index(&self, seq: SeqNum, view: ViewNum) -> Option<usize> {
-        self.config
-            .c_collectors(seq, view)
-            .iter()
-            .position(|r| *r == self.id)
+    /// The C-collectors of `(seq, view)`. Selection hashes every replica
+    /// id, so a tracked slot computes its set once per view and keeps it
+    /// until the stable checkpoint garbage-collects the slot. Untracked
+    /// slots are not created just to cache it.
+    fn c_collectors(&mut self, seq: SeqNum, view: ViewNum) -> Vec<ReplicaId> {
+        let Some(slot) = self.slots.get_mut(&seq.get()) else {
+            return self.config.c_collectors(seq, view);
+        };
+        match &slot.c_collectors {
+            Some((v, set)) if *v == view => set.clone(),
+            _ => {
+                let set = self.config.c_collectors(seq, view);
+                slot.c_collectors = Some((view, set.clone()));
+                set
+            }
+        }
     }
 
-    fn my_e_collector_index(&self, seq: SeqNum) -> Option<usize> {
-        self.config
-            .e_collectors(seq, ViewNum::ZERO)
-            .iter()
-            .position(|r| *r == self.id)
+    /// The E-collectors of `seq`, cached like [`Self::c_collectors`].
+    fn e_collectors(&mut self, seq: SeqNum) -> Vec<ReplicaId> {
+        let Some(slot) = self.slots.get_mut(&seq.get()) else {
+            return self.config.e_collectors(seq, ViewNum::ZERO);
+        };
+        let config = &self.config;
+        slot.e_collectors
+            .get_or_insert_with(|| config.e_collectors(seq, ViewNum::ZERO))
+            .clone()
+    }
+
+    fn my_c_collector_index(&mut self, seq: SeqNum, view: ViewNum) -> Option<usize> {
+        let me = self.id;
+        self.c_collectors(seq, view).iter().position(|r| *r == me)
+    }
+
+    fn my_e_collector_index(&mut self, seq: SeqNum) -> Option<usize> {
+        let me = self.id;
+        self.e_collectors(seq).iter().position(|r| *r == me)
     }
 
     // ---------- watchdog / liveness ----------
@@ -658,8 +697,13 @@ impl ReplicaNode {
                 return;
             }
         }
-        if let Some(&executed_ts) = self.client_table.get(&request.client.get()) {
-            if request.timestamp <= executed_ts {
+        if let Some(latest) = self.client_table.get(&request.client.get()) {
+            if request.timestamp == latest.timestamp {
+                let reply = self.make_reply(latest.seq, &request, latest.result.clone());
+                ctx.send(self.client_node(request.client), reply);
+                return;
+            }
+            if request.timestamp < latest.timestamp {
                 return;
             }
         }
@@ -886,7 +930,7 @@ impl ReplicaNode {
             sigma,
             tau,
         };
-        for collector in self.config.c_collectors(seq, view) {
+        for collector in self.c_collectors(seq, view) {
             self.send_to(ctx, collector, msg.clone());
         }
         if self.tracer.is_some() {
@@ -1016,7 +1060,7 @@ impl ReplicaNode {
     /// dead to the failure detector, the second acts in its slot
     /// immediately instead of waiting out the full stagger ladder.
     fn effective_stagger_index(
-        &self,
+        &mut self,
         seq: SeqNum,
         view: ViewNum,
         my_index: usize,
@@ -1025,11 +1069,8 @@ impl ReplicaNode {
         if my_index == 0 {
             return 0;
         }
-        let suspected_ahead = self
-            .config
-            .c_collectors(seq, view)
+        let suspected_ahead = self.c_collectors(seq, view)[..my_index]
             .iter()
-            .take(my_index)
             .filter(|r| **r != self.id && self.detector.suspected(r.as_usize(), now))
             .count();
         my_index.saturating_sub(suspected_ahead)
@@ -1142,7 +1183,7 @@ impl ReplicaNode {
         let d2 = commit2_digest(seq, view, &h);
         let share = self.my_keys.tau.sign(DOMAIN_TAU, &d2);
         let msg = SbftMsg::CommitShare { seq, view, share };
-        for collector in self.config.c_collectors(seq, view) {
+        for collector in self.c_collectors(seq, view) {
             self.send_to(ctx, collector, msg.clone());
         }
     }
@@ -1408,8 +1449,18 @@ impl ReplicaNode {
                 // Executed requests are deduped by the client table from
                 // here on; their verification memo entry has done its job.
                 self.verified_requests.remove(&key);
-                let entry = self.client_table.entry(request.client.get()).or_insert(0);
-                *entry = (*entry).max(request.timestamp);
+                let newer = self
+                    .client_table
+                    .get(&key.0)
+                    .is_none_or(|latest| latest.timestamp < request.timestamp);
+                if newer {
+                    let latest = LatestExecuted {
+                        timestamp: request.timestamp,
+                        seq: next,
+                        result: exec.results[l].clone(),
+                    };
+                    self.client_table.insert(key.0, latest);
+                }
             }
             {
                 let slot = self.slot(next);
@@ -1425,7 +1476,7 @@ impl ReplicaNode {
                 digest: exec.state_digest,
                 share,
             };
-            for collector in self.config.e_collectors(next, ViewNum::ZERO) {
+            for collector in self.e_collectors(next) {
                 self.send_to(ctx, collector, msg.clone());
             }
             // Direct replies (f+1 acknowledgement variants).
@@ -1440,22 +1491,21 @@ impl ReplicaNode {
             // If this replica is an E-collector and the proof was already
             // combined (we executed late), acks may now be sendable.
             self.maybe_send_acks(ctx, next);
-            if let Some(tracer) = &self.tracer {
-                // Execution ends this replica's part in the request —
-                // close the spans here, except on an E-collector that
-                // still owes an execute-ack: it keeps them open so the
-                // late ack can stamp `replied` (closed there instead).
-                let awaiting_ack = self.config.flags.single_client_ack
-                    && self.my_e_collector_index(next).is_some()
-                    && !self
-                        .slots
-                        .get(&next.get())
-                        .map(|s| s.acks_sent)
-                        .unwrap_or(true);
-                if !awaiting_ack {
-                    for request in &requests {
-                        tracer.close(request.client.get(), request.timestamp);
-                    }
+            // Execution ends this replica's part in the request — close
+            // the spans here, except on an E-collector that still owes an
+            // execute-ack: it keeps them open so the late ack can stamp
+            // `replied` (closed there instead).
+            let awaiting_ack = self.tracer.is_some()
+                && self.config.flags.single_client_ack
+                && self.my_e_collector_index(next).is_some()
+                && !self
+                    .slots
+                    .get(&next.get())
+                    .map(|s| s.acks_sent)
+                    .unwrap_or(true);
+            if let (Some(tracer), false) = (&self.tracer, awaiting_ack) {
+                for request in &requests {
+                    tracer.close(request.client.get(), request.timestamp);
                 }
             }
             self.vc_attempts = 0;
@@ -1484,19 +1534,18 @@ impl ReplicaNode {
         digest: Digest,
         share: SignatureShare,
     ) {
-        if self.my_e_collector_index(seq).is_none() {
-            return;
-        }
         if share.index() != (from + 1) as u16 {
             return;
         }
         if seq.get() <= self.last_stable.get() {
             return;
         }
+        let Some(my_index) = self.my_e_collector_index(seq) else {
+            return;
+        };
         ctx.charge_cpu_ns(self.cost.hash(70));
         let pi_threshold = self.config.pi_threshold();
         let stagger = self.timers.collector_stagger(&self.config);
-        let my_index = self.my_e_collector_index(seq).expect("checked above");
         let slot = self.slot(seq);
         let shares = slot.pi_shares.entry(digest).or_default();
         shares.insert(share.index(), share);
@@ -1947,7 +1996,7 @@ impl ReplicaNode {
                         sigma,
                         tau,
                     };
-                    for collector in self.config.c_collectors(seq, view) {
+                    for collector in self.c_collectors(seq, view) {
                         self.send_to(ctx, collector, msg.clone());
                     }
                 }
@@ -3238,6 +3287,117 @@ mod tests {
             node.effective_stagger_index(seq, view, 1, now),
             0,
             "a suspected collector ahead of us yields its stagger slot"
+        );
+    }
+
+    /// A slot computes its collector sets once per `(seq, view)`, and the
+    /// stored sets are exactly the hash-ranked selection of the config.
+    #[test]
+    fn slot_collector_sets_match_the_selection_across_views() {
+        let config = ProtocolConfig::new(1, 1, VariantFlags::SBFT); // n = 6
+        let keys = KeyMaterial::generate(&config, 0x5eed);
+        let mut node = ReplicaNode::new(
+            config.clone(),
+            ReplicaId::new(2),
+            &keys,
+            Box::new(KvService::new()),
+            CryptoCostModel::free(),
+        );
+        for s in 1..=8u64 {
+            let seq = SeqNum::new(s);
+            node.slot(seq);
+            let e = node.e_collectors(seq);
+            assert_eq!(e, config.e_collectors(seq, ViewNum::ZERO));
+            for v in 0..4u64 {
+                let view = ViewNum::new(v);
+                let c = node.c_collectors(seq, view);
+                assert_eq!(c, config.c_collectors(seq, view), "seq {s}, view {v}");
+                let slot = &node.slots[&s];
+                assert_eq!(slot.c_collectors, Some((view, c)), "stored for view {v}");
+                assert_eq!(
+                    slot.e_collectors.as_ref(),
+                    Some(&e),
+                    "E-set is view-independent"
+                );
+                assert_eq!(node.e_collectors(seq), e);
+            }
+        }
+        // An untracked slot is answered without being created.
+        assert_eq!(
+            node.c_collectors(SeqNum::new(99), ViewNum::ZERO),
+            config.c_collectors(SeqNum::new(99), ViewNum::ZERO)
+        );
+        assert!(!node.slots.contains_key(&99));
+    }
+
+    /// Regression: a §V-A resend of a client's latest executed request
+    /// was dropped silently once the stable checkpoint had collected its
+    /// result — the client table knew the timestamp, the executed-request
+    /// index no longer did. The client table now keeps the latest result,
+    /// so every replica answers and the client gets f+1 matching replies.
+    #[test]
+    fn resend_after_stable_checkpoint_gets_f_plus_1_matching_replies() {
+        use crate::testkit::{Cluster, ClusterConfig, Workload};
+        use sbft_statedb::KvOp;
+
+        let put = |i: u8| {
+            KvOp::Put {
+                key: vec![i],
+                value: vec![i; 8],
+            }
+            .to_wire_bytes()
+        };
+        let mut cluster_config = ClusterConfig::small(1, 0, VariantFlags::SBFT);
+        cluster_config.protocol.window = 8;
+        cluster_config.protocol.checkpoint_period = 4;
+        // Client 0 executes one request; client 1 then drives the log far
+        // enough past it that checkpoints garbage-collect its result.
+        cluster_config.workload =
+            Workload::Explicit(vec![vec![put(0)], (1..=100).map(put).collect()]);
+        let protocol = cluster_config.protocol.clone();
+        let keys = KeyMaterial::generate(&protocol, cluster_config.seed);
+        let mut cluster = Cluster::build(cluster_config);
+        cluster.run_for(SimDuration::from_secs(20));
+        assert_eq!(cluster.client(0).completed, 1);
+        assert_eq!(cluster.client(1).completed, 100);
+        let expected = cluster.client(0).last_result.clone();
+
+        let client = ClientId::new(0);
+        let resend = ClientRequest::signed(client, 1, put(0), &keys.public.client_keys(client));
+        let client_node = cluster.client_node(0);
+        let now = cluster.sim.now();
+        let mut rng = SimRng::new(0);
+        let mut metrics = Metrics::new(false);
+        let mut next_timer_id = 0u64;
+        let mut matching = 0;
+        for r in 0..protocol.n() {
+            let node = cluster.replica_mut(r);
+            assert!(
+                node.last_stable.get() > 64,
+                "replica {r} checkpointed far past the request"
+            );
+            assert!(
+                !node.executed_requests.contains_key(&(0, 1)),
+                "replica {r} garbage-collected the executed-request entry"
+            );
+            let mut ctx = Context::external(now, r, &mut rng, &mut metrics, &mut next_timer_id);
+            node.on_message(client_node, SbftMsg::Request(resend.clone()), &mut ctx);
+            for (to, msg) in ctx.into_effects().sends {
+                if let SbftMsg::Reply {
+                    timestamp, result, ..
+                } = msg
+                {
+                    assert_eq!((to, timestamp), (client_node, 1));
+                    if result == expected {
+                        matching += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            matching >= protocol.pi_threshold(),
+            "{matching} matching replies, f+1 = {} needed",
+            protocol.pi_threshold()
         );
     }
 }

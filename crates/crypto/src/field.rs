@@ -4,7 +4,7 @@
 //! (§III, §VIII). This reproduction keeps the *scalar field* of that curve —
 //! `r = 0x30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001`
 //! — and performs all Shamir sharing, signing and interpolation in it (see
-//! `DESIGN.md` §2 for the substitution rationale). Elements are stored in
+//! the README's "Substitutions"). Elements are stored in
 //! Montgomery form; multiplication uses the CIOS algorithm on 4×u64 limbs.
 
 use std::fmt;

@@ -6,7 +6,7 @@
 //! structure* — scalar multiplication, addition, hashing to the group, the
 //! bilinear check — but instantiates the group as the scalar field itself
 //! with a known-discrete-log generator. Every equation of BLS holds; only
-//! cryptographic hardness is absent (see `DESIGN.md` §2).
+//! cryptographic hardness is absent (see the README's "Substitutions").
 //!
 //! An element "`a·G`" is represented by its discrete log `a`, so the pairing
 //! is computable: `e(a·G, b·G) = ab ∈ GT`.
@@ -169,76 +169,6 @@ impl PairingAccumulator {
     }
 }
 
-/// Precomputed fixed-base multiplication table for one [`GroupElement`],
-/// as BLS implementations build for bases that are multiplied by many
-/// different scalars (the generator, long-lived public keys; §VIII
-/// "parallelized exponentiations"). The table stores `base · d · 16ʷ` for
-/// every 4-bit window `w` and digit `d`, so a 256-bit scalar
-/// multiplication becomes 64 data-independent table lookups and group
-/// additions — no per-scalar doubling chain.
-///
-/// In this reproduction's discrete-log-backed group a variable-base
-/// multiplication is already a single field multiplication, so the table
-/// buys structure (and constant-time-style data-independence), not big
-/// constants; it exists so the code matches what the real crypto layer
-/// does and so cost attribution stays honest.
-#[derive(Debug, Clone)]
-pub struct FixedBaseTable {
-    base: GroupElement,
-    /// `windows[w][d-1] = base · (d << 4w)`, `d ∈ 1..=15`, 64 windows.
-    windows: Vec<[GroupElement; 15]>,
-}
-
-impl FixedBaseTable {
-    const WINDOW_BITS: usize = 4;
-    const WINDOWS: usize = 256 / Self::WINDOW_BITS;
-
-    /// Precomputes the table for `base` (64 windows × 15 entries, built
-    /// with group additions only).
-    pub fn new(base: &GroupElement) -> FixedBaseTable {
-        let mut windows = Vec::with_capacity(Self::WINDOWS);
-        let mut window_base = *base; // base · 16^w
-        for _ in 0..Self::WINDOWS {
-            let mut entries = [GroupElement::IDENTITY; 15];
-            let mut acc = GroupElement::IDENTITY;
-            for entry in entries.iter_mut() {
-                acc = acc.add(&window_base);
-                *entry = acc;
-            }
-            // 16·window_base = entries[14] + window_base.
-            window_base = entries[14].add(&window_base);
-            windows.push(entries);
-        }
-        FixedBaseTable {
-            base: *base,
-            windows,
-        }
-    }
-
-    /// The base element the table was built for.
-    pub fn base(&self) -> &GroupElement {
-        &self.base
-    }
-
-    /// Computes `base · s` by windowed table lookups.
-    #[must_use]
-    pub fn mul(&self, s: &Scalar) -> GroupElement {
-        let bytes = s.to_bytes(); // big-endian canonical form
-        let mut acc = GroupElement::IDENTITY;
-        for (i, byte) in bytes.iter().rev().enumerate() {
-            let lo = (byte & 0x0f) as usize;
-            let hi = (byte >> 4) as usize;
-            if lo != 0 {
-                acc = acc.add(&self.windows[2 * i][lo - 1]);
-            }
-            if hi != 0 {
-                acc = acc.add(&self.windows[2 * i + 1][hi - 1]);
-            }
-        }
-        acc
-    }
-}
-
 /// Hashes a digest into the group with a domain-separation tag
 /// (the `H(m)` of BLS signing).
 pub fn hash_to_group(domain: &[u8], digest: &Digest) -> GroupElement {
@@ -303,20 +233,6 @@ mod tests {
         let mut bad = bytes;
         bad[0] = 0x09;
         assert_eq!(GroupElement::from_bytes(&bad), None);
-    }
-
-    #[test]
-    fn fixed_base_table_matches_plain_mul() {
-        let base = GroupElement::generator().mul(&Scalar::from_u64(0xdead_beef));
-        let table = FixedBaseTable::new(&base);
-        assert_eq!(table.base(), &base);
-        for v in [0u64, 1, 2, 15, 16, 255, 0x1234_5678_9abc_def0] {
-            let s = Scalar::from_u64(v);
-            assert_eq!(table.mul(&s), base.mul(&s), "scalar {v}");
-        }
-        // Full-width scalars (every window populated).
-        let wide = Scalar::from_digest(&sha256(b"wide scalar"));
-        assert_eq!(table.mul(&wide), base.mul(&wide));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`crate::CryptoCostModel`]. Corruption and mismatch are detectable;
 //! unforgeability against an adversary holding the verifying key is not
 //! claimed (no protocol experiment here relies on it — Byzantine behaviours
-//! are injected at the protocol layer, see `DESIGN.md` §5).
+//! are injected at the protocol layer instead).
 
 use std::fmt;
 

@@ -7,7 +7,7 @@
 //! - [`Scalar`]: BN254 scalar-field arithmetic (Montgomery form).
 //! - [`Polynomial`] + Lagrange interpolation: Shamir secret sharing.
 //! - [`GroupElement`] + [`pairing_check`]: a simulated pairing group whose
-//!   algebra matches BLS exactly (see `DESIGN.md` §2 for the substitution).
+//!   algebra matches BLS exactly (see the README's "Substitutions").
 //! - [`generate_threshold_keys`] / [`ThresholdPublicKey`]: robust threshold
 //!   signatures with the paper's σ/τ/π thresholds, `n`-of-`n` multisig fast
 //!   mode and batch verification.
@@ -46,8 +46,8 @@ mod threshold;
 pub use cost::CryptoCostModel;
 pub use field::{batch_invert, modulus, Scalar, MODULUS_LIMBS};
 pub use group::{
-    hash_to_group, pairing_check, pairing_check_with_generator, FixedBaseTable, GroupElement,
-    PairingAccumulator, GROUP_ELEMENT_WIRE_BYTES,
+    hash_to_group, pairing_check, pairing_check_with_generator, GroupElement, PairingAccumulator,
+    GROUP_ELEMENT_WIRE_BYTES,
 };
 pub use keys::{KeyPair, PkiSignature, PKI_SIGNATURE_WIRE_BYTES};
 pub use merkle::{leaf_hash, node_hash, MerkleProof, MerkleTree, ProofStep};

@@ -50,6 +50,9 @@ impl Default for Sha256 {
     }
 }
 
+/// A compression function: folds whole 64-byte blocks into the state.
+type Kernel = fn(&mut [u32; 8], &[u8]);
+
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
@@ -62,62 +65,73 @@ impl Sha256 {
     }
 
     /// Feeds bytes into the hasher.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.update_with(compress_blocks, data);
+    }
+
+    /// Consumes the hasher and returns the digest.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress_blocks)
+    }
+
+    fn update_with(&mut self, kernel: Kernel, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffer_len > 0 {
             let take = (64 - self.buffer_len).min(data.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            kernel(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        // Whole blocks go to the kernel straight from the input.
+        let whole = data.len() - data.len() % 64;
+        kernel(&mut self.state, &data[..whole]);
+        let rest = &data[whole..];
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
-    /// Consumes the hasher and returns the digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80, pad with zeros to 56 mod 64, append 64-bit length.
-        self.update_raw(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update_raw(&[0]);
-        }
-        self.update_raw(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+    fn finalize_with(mut self, kernel: Kernel) -> Digest {
+        // Append 0x80, pad with zeros to 56 mod 64, append the 64-bit bit
+        // length: one block, or two when fewer than 9 bytes are left.
+        let mut tail = [0u8; 128];
+        let n = self.buffer_len;
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        tail[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        kernel(&mut self.state, &tail[..len]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest::new(out)
     }
+}
 
-    /// Like `update` but without advancing `total_len` (used for padding).
-    fn update_raw(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffer_len] = b;
-            self.buffer_len += 1;
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
+/// Compresses `blocks` (a whole number of 64-byte blocks) with the SHA
+/// extensions when the CPU has them, else with the portable kernel.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available` confirmed the CPU supports every feature
+        // `shani::compress` is compiled for.
+        unsafe { shani::compress(state, blocks) };
+        return;
     }
+    compress_portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable FIPS 180-4 compression function, used on CPUs without
+/// SHA extensions and as the reference the accelerated kernel is tested
+/// against.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -130,7 +144,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -151,14 +165,103 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
+    }
+}
+
+/// The x86-64 SHA extensions kernel (`sha256rnds2`/`sha256msg1`/
+/// `sha256msg2`), four rounds per step with the state held as the
+/// `ABEF`/`CDGH` register pair the instructions expect.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use core::arch::x86_64::*;
+
+    /// Whether the running CPU has every feature [`compress`] uses
+    /// (`sse4.1` implies the `ssse3` byte shuffles).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Four rounds on the message words `w` (already in host order).
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $i:expr) => {{
+            // `K` is 64 words, so words 4i..4i+4 are in bounds for i < 16.
+            let k = _mm_loadu_si128(K.as_ptr().add(4 * $i).cast());
+            let wk = _mm_add_epi32($w, k);
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        }};
+    }
+
+    /// Replaces the oldest four message words `$w0` with the next four
+    /// (from the previous sixteen, oldest first), then runs their rounds.
+    macro_rules! schedule_rounds4 {
+        ($abef:ident, $cdgh:ident, $w0:ident, $w1:ident, $w2:ident, $w3:ident, $i:expr) => {{
+            $w0 = _mm_sha256msg2_epu32(
+                _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4)),
+                $w3,
+            );
+            rounds4!($abef, $cdgh, $w0, $i);
+        }};
+    }
+
+    /// Compresses `blocks` (a whole number of 64-byte blocks) into `state`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha` and `sse4.1` features (see
+    /// [`available`]).
+    #[target_feature(enable = "sha,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        // Byte swap within each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY (all loads and stores below): `state` is 32 bytes and
+        // every block from `chunks_exact(64)` is 64 bytes, so each
+        // unaligned 16-byte access stays inside its array.
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr();
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(p.cast()), bswap);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(16).cast()), bswap);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(32).cast()), bswap);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(48).cast()), bswap);
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            // Rounds 16..64: each step's schedule words replace the oldest
+            // four, cycling through w0..w3.
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, 4);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w0, 5);
+            schedule_rounds4!(abef, cdgh, w2, w3, w0, w1, 6);
+            schedule_rounds4!(abef, cdgh, w3, w0, w1, w2, 7);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, 8);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w0, 9);
+            schedule_rounds4!(abef, cdgh, w2, w3, w0, w1, 10);
+            schedule_rounds4!(abef, cdgh, w3, w0, w1, w2, 11);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, 12);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w0, 13);
+            schedule_rounds4!(abef, cdgh, w2, w3, w0, w1, 14);
+            schedule_rounds4!(abef, cdgh, w3, w0, w1, w2, 15);
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgef);
     }
 }
 
@@ -219,49 +322,114 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
+
+    /// Hashes `data` with the given compression kernel.
+    fn hash_with(kernel: Kernel, data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        h.update_with(kernel, data);
+        h.finalize_with(kernel)
+    }
+
+    /// Every kernel this CPU can run. The portable one is always called
+    /// directly, so runners without SHA extensions still test both paths
+    /// the public API can take.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        #[allow(unused_mut)]
+        let mut out: Vec<(&'static str, Kernel)> = vec![("portable", compress_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if shani::available() {
+            out.push(("sha-ni", |state, blocks| {
+                // SAFETY: only pushed after `available` confirmed the
+                // CPU features the kernel is compiled for.
+                unsafe { shani::compress(state, blocks) }
+            }));
+        }
+        out
+    }
+
+    fn assert_vector(data: &[u8], hex: &str) {
+        for (name, kernel) in kernels() {
+            assert_eq!(hash_with(kernel, data).to_hex(), hex, "{name} kernel");
+        }
+        assert_eq!(sha256(data).to_hex(), hex, "public API");
+    }
 
     // FIPS 180-4 / NIST CAVS vectors.
     #[test]
     fn empty_string() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        );
+    }
+
+    #[test]
+    fn four_block_message() {
+        assert_vector(
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+              ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
         );
     }
 
     #[test]
     fn million_a() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            &data,
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
     #[test]
     fn exact_block_boundary() {
         // 64-byte input exercises the padding-to-new-block path.
-        let data = [0x61u8; 64];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
+        assert_vector(
+            &[0x61u8; 64],
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
         );
+    }
+
+    /// Every kernel, one-shot and incremental, agrees with the portable
+    /// reference on random inputs of every length 0..=300 (which covers
+    /// the padding edges at 55, 56, 63, 64, 119 and 120 bytes) and on
+    /// multi-block inputs.
+    #[test]
+    fn kernels_agree_with_portable_reference() {
+        let mut rng = SplitMix64::new(0x5a17);
+        let lengths = (0..=300).chain([55, 56, 63, 64, 119, 120, 1000, 4096 + 7, 65_536 + 13]);
+        for len in lengths {
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let reference = hash_with(compress_portable, &data);
+            for (name, kernel) in kernels() {
+                assert_eq!(hash_with(kernel, &data), reference, "{name}, {len} bytes");
+            }
+            assert_eq!(sha256(&data), reference, "public API, {len} bytes");
+            let split = (rng.next_u64() % (len as u64 + 1)) as usize;
+            let (a, b) = data.split_at(split);
+            assert_eq!(
+                sha256_concat(&[a, b]),
+                reference,
+                "split at {split} of {len}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   [`sbft_statedb::Service`], so the BFT engines drive it exactly like
 //!   the key-value store.
 //! - [`generate_eth_trace`]: the synthetic stand-in for the paper's 500k
-//!   real Ethereum transactions (see `DESIGN.md` §2).
+//!   real Ethereum transactions (see the README's "Substitutions").
 
 mod asm;
 mod contracts;

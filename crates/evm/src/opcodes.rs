@@ -7,7 +7,7 @@
 //! transfers, registries, counters). Inter-contract `CALL`/`CREATE` from
 //! inside the VM and precompiles are out of the subset (transaction-level
 //! creation is supported, see `tx.rs`); `SHA3` uses SHA-256 rather than
-//! Keccak-256 (documented substitution, `DESIGN.md` §2).
+//! Keccak-256 (see the README's "Substitutions").
 
 use std::fmt;
 

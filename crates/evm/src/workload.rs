@@ -1,7 +1,7 @@
-//! Synthetic Ethereum-like workload (DESIGN.md §2 substitution for the
-//! paper's "500,000 smart contract executions that were processed by
-//! Ethereum during a 2 months period ... which included ~5000 contracts
-//! created", §I/§IX).
+//! Synthetic Ethereum-like workload, the stand-in (see the README's
+//! "Substitutions") for the paper's "500,000 smart contract executions
+//! that were processed by Ethereum during a 2 months period ... which
+//! included ~5000 contracts created" (§I/§IX).
 //!
 //! The generator reproduces the properties the benchmark depends on:
 //! transaction *mix* (~1% creates, mostly token transfers with some mints

@@ -2,7 +2,7 @@
 //!
 //! One [`Simulation`] owns the nodes, the network model, the event queue
 //! and the RNG. Every run with the same seed and inputs produces identical
-//! results bit-for-bit (`DESIGN.md` §5).
+//! results bit-for-bit.
 //!
 //! Per-node sequential CPU: handlers charge simulated CPU via
 //! [`Context::charge_cpu`]; while a node is busy, later deliveries queue

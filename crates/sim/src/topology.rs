@@ -124,7 +124,7 @@ impl Topology {
 /// The paper packs multiple replica VMs per physical machine (§IX,
 /// "we deployed more than one replica or client into a single machine");
 /// `machines_per_region` controls that packing for the sensitivity
-/// experiment (E7 in `DESIGN.md`).
+/// experiment.
 #[derive(Debug, Clone)]
 pub struct Placement {
     region_of: Vec<usize>,

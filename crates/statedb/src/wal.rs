@@ -39,8 +39,11 @@ const SEQ_BYTES: usize = 8;
 /// corruption rather than an allocation request.
 const MAX_RECORD_LEN: u32 = 1 << 26;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slice-by-8 CRC tables: `CRC_TABLES[0]` is the classic byte-wise
+/// table, and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight table lookups fold eight input bytes at once.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -53,21 +56,51 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+
+/// Folds `data` into the running (pre-inverted) CRC one byte at a time.
+fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
 
 /// CRC-32 (IEEE 802.3 polynomial), the per-record integrity check.
+/// Slice-by-8: eight bytes per step, the tail byte by byte.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    !c
+    !crc32_bytewise(c, chunks.remainder())
 }
 
 /// When appends are forced to stable storage (see the module docs).
@@ -364,6 +397,17 @@ mod tests {
     fn crc32_known_vector() {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(!crc32_bytewise(!0, b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_slice_by_8_matches_bytewise() {
+        let mut rng = SplitMix64::new(0xc3c3);
+        let data: Vec<u8> = (0..2_000).map(|_| rng.next_u64() as u8).collect();
+        for len in 0..=data.len() {
+            let slice = &data[..len];
+            assert_eq!(crc32(slice), !crc32_bytewise(!0, slice), "{len} bytes");
+        }
     }
 
     #[test]
