@@ -1686,7 +1686,11 @@ impl ReplicaNode {
         if seq.get() < self.last_stable.get() + self.config.checkpoint_period {
             return;
         }
-        if self.last_executed < seq {
+        // The snapshot below is the state after `last_executed`: only
+        // while that is exactly `seq` does it match the certified roots.
+        // (Further along, a later proof checkpoints instead; at the
+        // window's edge execution drains, so one always arrives.)
+        if self.last_executed != seq {
             return;
         }
         let slot = self.slots.get(&seq.get());
@@ -3335,6 +3339,46 @@ mod tests {
     /// result — the client table knew the timestamp, the executed-request
     /// index no longer did. The client table now keeps the latest result,
     /// so every replica answers and the client gets f+1 matching replies.
+    #[test]
+    fn every_stable_checkpoint_holds_the_state_it_certifies() {
+        use crate::testkit::{Cluster, ClusterConfig, Workload};
+
+        // Many concurrent clients keep several blocks in flight, so a
+        // block's execute proof can land after later blocks executed.
+        // A checkpoint taken then must not label the later state with
+        // the earlier sequence number: state transfer would serve a
+        // snapshot whose root never matches, and recovery would replay
+        // the WAL on top of blocks it already holds.
+        for seed in 1..=4u64 {
+            let mut cluster_config = ClusterConfig::small(1, 0, VariantFlags::SBFT);
+            cluster_config.protocol.checkpoint_period = 4;
+            cluster_config.protocol.batch_delay = SimDuration::ZERO;
+            cluster_config.clients = 8;
+            cluster_config.seed = seed;
+            cluster_config.workload = Workload::KvPut {
+                requests: 40,
+                ops_per_request: 1,
+                key_space: 64,
+                value_len: 16,
+            };
+            let n = cluster_config.protocol.n();
+            let mut cluster = Cluster::build(cluster_config);
+            cluster.run_for(SimDuration::from_secs(20));
+            for r in 0..n {
+                let node = cluster.replica_mut(r);
+                let checkpoint = node.ledger.checkpoint().expect("checkpointed");
+                let (state_root, _) = node.stable_roots.expect("stable roots");
+                assert_eq!(checkpoint.seq, node.last_stable, "seed {seed} replica {r}");
+                assert_eq!(
+                    checkpoint.state.root(),
+                    state_root,
+                    "seed {seed} replica {r}: checkpoint {} holds another seq's state",
+                    checkpoint.seq.get()
+                );
+            }
+        }
+    }
+
     #[test]
     fn resend_after_stable_checkpoint_gets_f_plus_1_matching_replies() {
         use crate::testkit::{Cluster, ClusterConfig, Workload};

@@ -122,6 +122,18 @@ where
     Ok(total)
 }
 
+/// Rejects a length prefix over `max_frame` as
+/// [`io::ErrorKind::InvalidData`] — before anything is allocated for it.
+fn check_len(len: usize, max_frame: usize) -> io::Result<()> {
+    if len > max_frame {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds cap of {max_frame}"),
+        ));
+    }
+    Ok(())
+}
+
 /// Reads one frame. Returns `Ok(None)` on a clean end-of-stream (the peer
 /// closed between frames); a close mid-frame is [`io::ErrorKind::UnexpectedEof`].
 ///
@@ -148,34 +160,125 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> io::Result<Option<Vec<
         filled += n;
     }
     let len = u32::from_le_bytes(header) as usize;
-    if len > max_frame {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap of {max_frame}"),
-        ));
-    }
+    check_len(len, max_frame)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
 }
 
-/// Buffered frame decoder: owns a read-ahead buffer so one `read`
-/// syscall can surface many small frames, instead of the two unbuffered
-/// reads per frame [`read_frame`] pays. Semantics match [`read_frame`]
-/// exactly — clean close between frames is `Ok(None)`, a close
-/// mid-frame is [`io::ErrorKind::UnexpectedEof`], and a length prefix
-/// over `max_frame` is [`io::ErrorKind::InvalidData`] — and the byte
-/// accounting is unchanged: every returned payload consumed precisely
-/// `framed_len(payload)` bytes from the stream.
+/// The length-prefix parser, without I/O: bytes go in through
+/// [`FrameParser::read_from`] (one `read` call each), whole frames come
+/// out of [`FrameParser::next_frame`]. The blocking [`FrameReader`] and
+/// the transport's non-blocking event loop both run on it, so the two
+/// cannot disagree about the format.
 ///
-/// Frames larger than the buffer fall back to a direct `read_exact`
-/// into their own allocation, so `max_frame` may exceed the buffer.
-pub struct FrameReader<R> {
-    inner: R,
+/// A read-ahead buffer lets one `read` surface many small frames. A
+/// frame larger than the buffer is read straight into its own
+/// allocation, so `max_frame` may exceed the buffer. Every returned
+/// payload consumed precisely `framed_len(payload)` bytes.
+pub struct FrameParser {
     buf: Vec<u8>,
     start: usize,
     end: usize,
     max_frame: usize,
+    /// A frame larger than `buf` being filled in place: its payload
+    /// allocation and how many payload bytes have arrived.
+    oversized: Option<(Vec<u8>, usize)>,
+}
+
+impl FrameParser {
+    /// A parser with a read-ahead buffer of `buffer` bytes (floored at
+    /// one header) and a per-frame payload cap of `max_frame`.
+    pub fn new(buffer: usize, max_frame: usize) -> Self {
+        FrameParser {
+            buf: vec![0u8; buffer.max(FRAME_HEADER_BYTES)],
+            start: 0,
+            end: 0,
+            max_frame,
+            oversized: None,
+        }
+    }
+
+    /// True when no part of a frame is buffered: an end-of-stream now is
+    /// a clean close, anywhere else it truncated a frame.
+    pub fn is_idle(&self) -> bool {
+        self.start == self.end && self.oversized.is_none()
+    }
+
+    /// Makes one `read` call on `r` into the free space — or into the
+    /// oversized frame being filled — and returns its result: the byte
+    /// count, `0` at end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the `read` call returned, `WouldBlock` and `Interrupted`
+    /// included; nothing was consumed in that case.
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if let Some((payload, filled)) = &mut self.oversized {
+            let n = r.read(&mut payload[*filled..])?;
+            *filled += n;
+            return Ok(n);
+        }
+        if self.start > 0 {
+            // Move the partial frame (usually a few bytes) to the front so
+            // the free space is contiguous.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next complete frame, if the bytes read so far hold one.
+    ///
+    /// # Errors
+    ///
+    /// A length prefix over `max_frame` is [`io::ErrorKind::InvalidData`];
+    /// the stream cannot be resynchronised after it.
+    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        if let Some((payload, filled)) = &self.oversized {
+            if *filled < payload.len() {
+                return Ok(None);
+            }
+            return Ok(self.oversized.take().map(|(payload, _)| payload));
+        }
+        let buffered = &self.buf[self.start..self.end];
+        let Some(header) = buffered.first_chunk::<FRAME_HEADER_BYTES>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*header) as usize;
+        check_len(len, self.max_frame)?;
+        let body = &buffered[FRAME_HEADER_BYTES..];
+        if FRAME_HEADER_BYTES + len > self.buf.len() {
+            // Larger than the buffer: what has arrived moves into the
+            // frame's own allocation, the rest is read straight into it.
+            let mut payload = vec![0u8; len];
+            payload[..body.len()].copy_from_slice(body);
+            self.oversized = Some((payload, body.len()));
+            self.start = 0;
+            self.end = 0;
+            return Ok(None);
+        }
+        if body.len() < len {
+            return Ok(None);
+        }
+        let payload = body[..len].to_vec();
+        self.start += FRAME_HEADER_BYTES + len;
+        Ok(Some(payload))
+    }
+}
+
+/// Blocking frame decoder over any [`Read`]: a [`FrameParser`] fed by
+/// `read` calls on `inner`. Semantics match [`read_frame`] exactly —
+/// clean close between frames is `Ok(None)`, a close mid-frame is
+/// [`io::ErrorKind::UnexpectedEof`], and a length prefix over
+/// `max_frame` is [`io::ErrorKind::InvalidData`] — but one `read`
+/// syscall can surface many small frames.
+pub struct FrameReader<R> {
+    inner: R,
+    parser: FrameParser,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -184,41 +287,8 @@ impl<R: Read> FrameReader<R> {
     pub fn new(inner: R, buffer: usize, max_frame: usize) -> Self {
         FrameReader {
             inner,
-            buf: vec![0u8; buffer.max(FRAME_HEADER_BYTES)],
-            start: 0,
-            end: 0,
-            max_frame,
+            parser: FrameParser::new(buffer, max_frame),
         }
-    }
-
-    fn buffered(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Grows the buffered window to at least `need` bytes. `Ok(false)`
-    /// only on end-of-stream with *zero* bytes buffered while
-    /// `clean_eof_ok` — anywhere else, running dry mid-datum is an
-    /// [`io::ErrorKind::UnexpectedEof`].
-    fn ensure(&mut self, need: usize, clean_eof_ok: bool) -> io::Result<bool> {
-        while self.buffered() < need {
-            if self.start > 0 {
-                self.buf.copy_within(self.start..self.end, 0);
-                self.end -= self.start;
-                self.start = 0;
-            }
-            let n = self.inner.read(&mut self.buf[self.end..])?;
-            if n == 0 {
-                if clean_eof_ok && self.buffered() == 0 {
-                    return Ok(false);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            self.end += n;
-        }
-        Ok(true)
     }
 
     /// Reads the next frame; `Ok(None)` on a clean close between frames.
@@ -229,36 +299,20 @@ impl<R: Read> FrameReader<R> {
     /// [`io::ErrorKind::InvalidData`], truncation is
     /// [`io::ErrorKind::UnexpectedEof`].
     pub fn read_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if !self.ensure(FRAME_HEADER_BYTES, true)? {
-            return Ok(None);
+        loop {
+            if let Some(payload) = self.parser.next_frame()? {
+                return Ok(Some(payload));
+            }
+            if self.parser.read_from(&mut self.inner)? == 0 {
+                if self.parser.is_idle() {
+                    return Ok(None);
+                }
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed mid-frame",
+                ));
+            }
         }
-        let header: [u8; FRAME_HEADER_BYTES] = self.buf
-            [self.start..self.start + FRAME_HEADER_BYTES]
-            .try_into()
-            .expect("header slice is FRAME_HEADER_BYTES long");
-        let len = u32::from_le_bytes(header) as usize;
-        if len > self.max_frame {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds cap of {}", self.max_frame),
-            ));
-        }
-        self.start += FRAME_HEADER_BYTES;
-        if len <= self.buf.len() {
-            self.ensure(len, false)?;
-            let payload = self.buf[self.start..self.start + len].to_vec();
-            self.start += len;
-            return Ok(Some(payload));
-        }
-        // Oversized frame: drain what is buffered, then read the rest
-        // straight into the payload's own allocation.
-        let mut payload = vec![0u8; len];
-        let have = self.buffered();
-        payload[..have].copy_from_slice(&self.buf[self.start..self.end]);
-        self.start = 0;
-        self.end = 0;
-        self.inner.read_exact(&mut payload[have..])?;
-        Ok(Some(payload))
     }
 
     /// Reads and decodes a [`Wire`] value from the next frame.
@@ -509,6 +563,86 @@ mod tests {
         );
         assert_eq!(
             r.read_frame().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    /// Hands out `data` as two reads, split at `at`.
+    struct TwoReads {
+        data: Vec<u8>,
+        at: usize,
+        pos: usize,
+    }
+
+    impl Read for TwoReads {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let stop = if self.pos < self.at {
+                self.at
+            } else {
+                self.data.len()
+            };
+            let n = out.len().min(stop - self.pos);
+            out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn parser_yields_the_same_frames_for_a_split_at_every_byte_offset() {
+        // A handshake, then SplitMix64-sized frames: empty, small, and
+        // larger than the 16-byte read buffer (filled in place).
+        let mut rng = 0x5bf7_0001;
+        let mut payloads = vec![Handshake { node_id: 3 }.to_wire_bytes()];
+        for _ in 0..12 {
+            let len = (splitmix(&mut rng) % 40) as usize;
+            payloads.push((0..len).map(|_| splitmix(&mut rng) as u8).collect());
+        }
+        let mut wire = Vec::new();
+        let mut boundaries = vec![0];
+        for payload in &payloads {
+            write_frame(&mut wire, payload).unwrap();
+            boundaries.push(wire.len());
+        }
+        for at in 0..=wire.len() {
+            let mut reader = TwoReads {
+                data: wire.clone(),
+                at,
+                pos: 0,
+            };
+            let mut parser = FrameParser::new(16, 64);
+            let mut got = Vec::new();
+            loop {
+                while let Some(payload) = parser.next_frame().unwrap() {
+                    got.push(payload);
+                }
+                if reader.pos == at {
+                    // Everything before the split has arrived: the parser
+                    // is idle exactly when the split is on a boundary
+                    // (an end of stream here would be clean).
+                    assert_eq!(parser.is_idle(), boundaries.contains(&at), "split {at}");
+                }
+                if parser.read_from(&mut reader).unwrap() == 0 {
+                    break;
+                }
+            }
+            assert!(parser.is_idle(), "split {at}: clean end of stream");
+            assert_eq!(got, payloads, "split {at}");
+            let hs = Handshake::from_wire_bytes(&got[0]).unwrap();
+            assert_eq!(hs.node_id, 3, "split {at}: handshake survives the split");
+        }
+    }
+
+    #[test]
+    fn parser_rejects_an_oversized_length_before_allocating() {
+        let mut parser = FrameParser::new(16, 64);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"ok").unwrap();
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        parser.read_from(&mut Cursor::new(&wire)).unwrap();
+        assert_eq!(parser.next_frame().unwrap().unwrap(), b"ok");
+        assert_eq!(
+            parser.next_frame().unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
     }

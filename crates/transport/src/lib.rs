@@ -8,11 +8,13 @@
 //!
 //! - [`frame`]: length-prefixed framing over the [`sbft_wire`] codec,
 //!   with exact byte accounting and a connection [`Handshake`].
-//! - [`TcpTransport`]: a std-only TCP mesh (`std::net` + threads +
-//!   channels — the workspace is intentionally dependency-free) with
-//!   per-peer outbound queues, automatic reconnect with exponential
-//!   backoff, sever/stat controls, and counters mirroring the
-//!   simulator's [`sbft_sim::Metrics`] labels.
+//! - [`TcpTransport`]: a std-only TCP mesh (`std::net` plus `ppoll(2)`
+//!   declared through `extern "C"` — the workspace is intentionally
+//!   dependency-free). Reads run in a caller-driven event loop
+//!   ([`InboundLoop`]); sends are written inline, with one writer thread
+//!   per node for reconnects (exponential backoff) and backlog drains.
+//!   Sever/stat controls and counters mirror the simulator's
+//!   [`sbft_sim::Metrics`] labels.
 //! - [`NodeRuntime`]: adapts the sim's `Context`/timer API to wall-clock
 //!   deadlines so `ReplicaNode`, `ClientNode` and the PBFT baseline run
 //!   unchanged over real sockets.
@@ -43,17 +45,20 @@
 
 pub mod config;
 pub mod frame;
+pub mod inbound;
 pub mod runtime;
+mod sys;
 pub mod tcp;
 pub mod verify;
 
 pub use config::{ClusterSpec, ConfigError, TransportProfile, VariantName};
 pub use frame::{
     encode_frame_into, framed_len, read_frame, read_msg, write_frame, write_frames, write_msg,
-    FrameReader, Handshake, DEFAULT_MAX_FRAME, FRAME_HEADER_BYTES,
+    FrameParser, FrameReader, Handshake, DEFAULT_MAX_FRAME, FRAME_HEADER_BYTES,
 };
+pub use inbound::InboundLoop;
 pub use runtime::NodeRuntime;
 pub use tcp::{
     AliasRoute, InboundInjector, TcpTransport, TransportConfig, TransportControl, TransportStats,
 };
-pub use verify::{VerifyPool, VerifyPoolStats};
+pub use verify::{FrameSource, VerifyPool, VerifyPoolStats};

@@ -14,6 +14,16 @@
 //! between due timers and inbound frames. Per-process parallelism comes
 //! from running one process (or thread) per node, as a real deployment
 //! would.
+//!
+//! Who reads the sockets: in direct mode ([`NodeRuntime::new`]) the node
+//! thread itself — waiting for a frame *is* running the transport's
+//! `ppoll` event loop, so a frame goes from the kernel to its handler
+//! with no thread in between. In pipeline mode
+//! ([`NodeRuntime::with_verify_pool`]) the loop moves to the verify
+//! pool, whose intake worker reads the sockets and the node thread waits
+//! on verified messages instead. Either way the node's only other
+//! transport thread is its writer (reconnects and backlog drains); sends
+//! are written inline from the node thread.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -29,8 +39,8 @@ use crate::verify::{VerifyPool, VerifyPoolStats};
 
 /// Where the runtime's inbound messages come from.
 enum Inbound<M> {
-    /// Straight off the transport channel; frames decode on the node
-    /// thread (the PR-2 behaviour, still the right call on one core).
+    /// The node thread drives the transport's inbound loop and decodes
+    /// frames itself (the right call on one or two cores).
     Direct,
     /// Through a [`VerifyPool`]: frames decode and pre-verify on worker
     /// threads, the node consumes verified envelopes in per-peer FIFO
@@ -56,7 +66,7 @@ pub struct NodeRuntime<M: SimMessage + Wire> {
     live: HashSet<u64>,
     cancelled: HashSet<u64>,
     /// Self-sends and other locally-deliverable messages, processed
-    /// before touching the socket channel.
+    /// before touching the sockets.
     loopback: VecDeque<(NodeId, M)>,
     start: Instant,
     started: bool,
@@ -295,13 +305,19 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
         let effects = ctx.into_effects();
         self.events += 1;
         for (to, msg) in effects.sends {
-            self.metrics
-                .note_send(now, node_id, to, msg.label(), msg.wire_size());
             if to == node_id {
+                self.metrics
+                    .note_send(now, node_id, to, msg.label(), msg.wire_size());
                 // Skip the socket round-trip; order is still FIFO.
                 self.loopback.push_back((to, msg));
             } else {
-                self.transport.send_msg(to, &msg);
+                // Encode once: the payload's length is the byte count
+                // (`wire_size` is the encoded length for the protocol
+                // messages, and computing it separately encodes twice).
+                let payload = msg.to_wire_bytes();
+                self.metrics
+                    .note_send(now, node_id, to, msg.label(), payload.len());
+                self.transport.send(to, payload);
             }
         }
         for (id, at, token) in effects.timers {
@@ -377,8 +393,8 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
     ///
     /// Inbound frames are drained in batches: one blocking wait per
     /// *batch* of ready frames (up to [`Self::DRAIN_BATCH`]), not per
-    /// frame, so under load the channel-wakeup cost amortizes across
-    /// everything that has already arrived.
+    /// frame, so under load the wakeup cost amortizes across everything
+    /// that has already arrived.
     pub fn poll(&mut self, budget: Duration) -> u64 {
         self.start();
         let before = self.events;
@@ -409,7 +425,7 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
                 let until_timer = Duration::from_nanos(at_ns.saturating_sub(self.now().as_nanos()));
                 wait = wait.min(until_timer);
             }
-            // Zero-duration waits still poll the channel once. In
+            // Zero-duration waits still poll the sockets once. In
             // pipeline mode messages arrive decoded and pre-verified
             // from the worker pool; the drain shape is identical.
             let wait = wait.max(Duration::from_micros(100));
@@ -594,6 +610,12 @@ mod tests {
         });
         assert!(done, "five ping-pong rounds and a timer within deadline");
         assert_eq!(rt.metrics().label_count("ping"), 5);
+        // Network sends are counted by their encoded payload, not by
+        // `wire_size` (which `Ping` deliberately reports with a header).
+        assert_eq!(
+            rt.metrics().label_bytes("ping"),
+            5 * Ping(0).to_wire_bytes().len() as u64
+        );
         assert!(rt.events_processed() >= 7, "start + 5 pongs + timer");
         let responder_pings = responder.join().unwrap();
         assert!(responder_pings >= 5);
@@ -732,5 +754,7 @@ mod tests {
         rt.poll(Duration::from_millis(50));
         assert_eq!(rt.node_as::<SelfTalker>().unwrap().heard, 7);
         assert_eq!(rt.transport().control().stats().frames_sent, 0);
+        // Loopback sends are never encoded; they keep `wire_size`.
+        assert_eq!(rt.metrics().label_bytes("ping"), Ping(7).wire_size() as u64);
     }
 }

@@ -1,5 +1,5 @@
 //! The parallel verification pipeline: a pool of worker threads between
-//! the [`crate::TcpTransport`]'s frame channel and the node's
+//! the [`crate::TcpTransport`]'s inbound loop and the node's
 //! single-threaded runtime.
 //!
 //! The sans-IO nodes are `!Send` by design, so the node thread cannot be
@@ -15,10 +15,10 @@
 //! and the discrete-event simulator models it), so the pool must not let
 //! two frames from one peer overtake each other just because different
 //! workers verified them. Each frame gets a per-peer **order token** at
-//! intake (assigned under the same lock as the channel read, so tokens
-//! match arrival order); after verification a worker parks its result in
-//! the peer's reorder buffer and releases the contiguous prefix. No locks
-//! are ever taken on the node itself.
+//! intake (assigned under the same lock as the frame source's read, so
+//! tokens match arrival order); after verification a worker parks its
+//! result in the peer's reorder buffer and releases the contiguous
+//! prefix. No locks are ever taken on the node itself.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,14 +30,41 @@ use std::time::Duration;
 use sbft_sim::{InboundVerifier, NodeId};
 use sbft_telemetry::{Counter, Registry};
 
-/// How long a worker blocks on the intake channel before re-checking the
+/// How long a worker blocks on the frame source before re-checking the
 /// shutdown flag (bounds pool teardown latency).
 const INTAKE_TICK: Duration = Duration::from_millis(50);
+
+/// Where a [`VerifyPool`] takes raw `(from, payload)` frames from. The
+/// transport's [`crate::InboundLoop`] is one: the worker holding the
+/// intake lock then reads the sockets itself. A channel receiver is the
+/// other, for feeding the pool directly.
+pub trait FrameSource: Send + 'static {
+    /// The next frame, waiting at most `timeout`.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Timeout`] when none arrived in time;
+    /// [`RecvTimeoutError::Disconnected`] when none ever will.
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<(NodeId, Vec<u8>), RecvTimeoutError>;
+
+    /// The next frame if one is ready now.
+    fn try_recv(&mut self) -> Option<(NodeId, Vec<u8>)>;
+}
+
+impl FrameSource for Receiver<(NodeId, Vec<u8>)> {
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<(NodeId, Vec<u8>), RecvTimeoutError> {
+        Receiver::recv_timeout(self, timeout)
+    }
+
+    fn try_recv(&mut self) -> Option<(NodeId, Vec<u8>)> {
+        Receiver::try_recv(self).ok()
+    }
+}
 
 /// Counter snapshot for one pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyPoolStats {
-    /// Frames pulled off the transport channel.
+    /// Frames pulled off the frame source.
     pub frames_in: u64,
     /// Frames that failed to decode.
     pub decode_errors: u64,
@@ -72,10 +99,10 @@ impl Counters {
     }
 }
 
-/// Intake side: the raw frame channel plus per-peer order counters.
-/// One lock for both, so order tokens always match channel order.
+/// Intake side: the raw frame source plus per-peer order counters.
+/// One lock for both, so order tokens always match arrival order.
 struct Intake {
-    rx: Receiver<(NodeId, Vec<u8>)>,
+    rx: Box<dyn FrameSource>,
     next_token: HashMap<NodeId, u64>,
 }
 
@@ -119,16 +146,16 @@ pub struct VerifyPool<M> {
 }
 
 impl<M: Send + 'static> VerifyPool<M> {
-    /// Spawns `threads` workers draining `inbound` (the receiver moved
-    /// out of a transport with `TcpTransport::take_inbound`). `batch`
-    /// caps how many ready frames one worker claims per pass — the
-    /// amortization unit for batched verification. `queue` bounds the
-    /// verified-output channel (backpressure onto the workers, and from
-    /// there onto the kernel's TCP buffers). Counters register into
-    /// `registry` — pass the transport's, so one exposition covers the
-    /// whole node.
+    /// Spawns `threads` workers draining `inbound` (the event loop moved
+    /// out of a transport with `TcpTransport::take_inbound`, or a
+    /// channel receiver). `batch` caps how many ready frames one worker
+    /// claims per pass — the amortization unit for batched verification.
+    /// `queue` bounds the verified-output channel (backpressure onto the
+    /// workers, and from there onto the kernel's TCP buffers). Counters
+    /// register into `registry` — pass the transport's, so one
+    /// exposition covers the whole node.
     pub fn start(
-        inbound: Receiver<(NodeId, Vec<u8>)>,
+        inbound: impl FrameSource,
         verifier: Arc<dyn InboundVerifier<M>>,
         threads: usize,
         batch: usize,
@@ -141,7 +168,7 @@ impl<M: Send + 'static> VerifyPool<M> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::register(registry));
         let intake = Arc::new(Mutex::new(Intake {
-            rx: inbound,
+            rx: Box::new(inbound),
             next_token: HashMap::new(),
         }));
         let reorder = Arc::new(Mutex::new(Reorder {
@@ -254,8 +281,8 @@ fn worker_loop<M: Send + 'static>(
             push(&mut intake, &mut jobs, first);
             while jobs.len() < batch {
                 match intake.rx.try_recv() {
-                    Ok(item) => push(&mut intake, &mut jobs, item),
-                    Err(_) => break,
+                    Some(item) => push(&mut intake, &mut jobs, item),
+                    None => break,
                 }
             }
             jobs

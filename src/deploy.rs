@@ -57,7 +57,7 @@ pub fn replica_runtime_with_pipeline(
     replica.set_tracer(transport.registry().tracer());
     if exec_threads > 1 {
         // Completion wake: the executor injects a self-addressed
-        // `ExecuteReady` frame into the node's inbound channel, rousing
+        // `ExecuteReady` frame into the node's inbound loop, rousing
         // a node thread parked in `recv_timeout`. The frame flows
         // through the verify pipeline like any other message (the
         // pre-verifier passes it; the replica only honours it from

@@ -12,8 +12,9 @@ use std::time::Duration;
 
 use sbft_chaos::{plan_by_name, run_sim, run_tcp, Fault, FaultEvent, FaultPlan, Outcome};
 
-/// TCP runs spawn ~15 OS threads each and are timing-sensitive on small
-/// containers; serialize them.
+/// TCP runs spawn a thread per node plus one transport writer thread
+/// per node (and the fault proxy's forwarding threads), and are
+/// timing-sensitive on small containers; serialize them.
 static TCP_LOCK: Mutex<()> = Mutex::new(());
 
 fn assert_tcp_pass(name: &str, seed: u64) {

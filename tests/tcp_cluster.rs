@@ -326,11 +326,21 @@ fn severed_replica_reconnects_and_liveness_resumes() {
     )
     .expect("client boots");
 
-    // Phase 1: commit some of the workload on a healthy cluster.
-    let warmed = client.run_until(Duration::from_secs(30), Duration::from_millis(20), |rt| {
+    // Phase 1: commit some of the workload on a healthy cluster. The
+    // 1 ms tick stops the client right after the 10th commit, so the
+    // sever below lands mid-workload rather than on an idle cluster.
+    let warmed = client.run_until(Duration::from_secs(30), Duration::from_millis(1), |rt| {
         rt.node_as::<ClientNode>().expect("client node").completed >= 10
     });
     assert!(warmed, "healthy cluster must commit the first 10 requests");
+    let completed = client
+        .node_as::<ClientNode>()
+        .expect("client node")
+        .completed;
+    assert!(
+        completed < REQUESTS as u64,
+        "the sever must hit a running workload, but {completed}/{REQUESTS} already committed"
+    );
 
     // Phase 2: sever every socket touching replica 1 (every such socket
     // is either dialed by 1 or accepted by 1, so its registry sees all
