@@ -16,14 +16,15 @@
 //! [`Service`]; π shares flow to E-collectors which certify the state and
 //! (in single-ack mode) acknowledge each client with one message.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use sbft_types::{ClientId, Digest, ReplicaId, SeqNum, ViewNum};
 
 use sbft_crypto::{CryptoCostModel, PkiSignature, Signature, SignatureShare};
 use sbft_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerId};
 use sbft_statedb::{
-    combine_state_digest, Block, Checkpoint, ChunkAssembler, Ledger, Service, Snapshot, StateChunk,
+    combine_state_digest, AuthKv, Block, Checkpoint, ChunkAssembler, Ledger, Service, Snapshot,
+    StateChunk,
 };
 use sbft_telemetry::{Phase, PhaseTracer};
 use sbft_wire::{ClientSignature, Wire};
@@ -169,6 +170,11 @@ pub struct ReplicaNode {
     /// `(state_root, results_root)` at the stable checkpoint, for state
     /// transfer certificates.
     stable_roots: Option<(Digest, Digest)>,
+    /// The state right after the latest executed checkpoint candidate
+    /// (a seq at least `checkpoint_period` past `last_stable`), kept
+    /// until its execute proof arrives: by then later blocks may have
+    /// executed, and the engine holds only the newest state.
+    checkpoint_candidate: Option<(SeqNum, AuthKv)>,
     ledger: Ledger,
 
     // Primary state.
@@ -296,6 +302,7 @@ impl ReplicaNode {
             last_stable: SeqNum::ZERO,
             stable_cert: None,
             stable_roots: None,
+            checkpoint_candidate: None,
             ledger: Ledger::new(),
             pending: VecDeque::new(),
             next_proposal: SeqNum::new(1),
@@ -1441,6 +1448,15 @@ impl ReplicaNode {
             }
             ctx.incr("executed_blocks", 1);
             self.last_executed = next;
+            let period = self.config.checkpoint_period;
+            if next.get() >= self.last_stable.get() + period
+                && self
+                    .checkpoint_candidate
+                    .as_ref()
+                    .is_none_or(|(seq, _)| seq.get() + period <= next.get())
+            {
+                self.checkpoint_candidate = Some((next, self.engine.snapshot()));
+            }
             for (l, request) in requests.iter().enumerate() {
                 let key = (request.client.get(), request.timestamp);
                 self.trace_phase(ctx, key.0, key.1, Phase::Executed);
@@ -1686,11 +1702,7 @@ impl ReplicaNode {
         if seq.get() < self.last_stable.get() + self.config.checkpoint_period {
             return;
         }
-        // The snapshot below is the state after `last_executed`: only
-        // while that is exactly `seq` does it match the certified roots.
-        // (Further along, a later proof checkpoints instead; at the
-        // window's edge execution drains, so one always arrives.)
-        if self.last_executed != seq {
+        if self.last_executed < seq {
             return;
         }
         let slot = self.slots.get(&seq.get());
@@ -1703,8 +1715,20 @@ impl ReplicaNode {
         let (Some(state_root), Some(results_root)) = (slot.state_root, slot.results_root) else {
             return;
         };
+        // The checkpoint must hold the state right after `seq`. The
+        // engine holds only the state after `last_executed`; for an
+        // earlier `seq` the candidate kept when it executed does.
+        let state = match self.checkpoint_candidate.take() {
+            Some((candidate, state)) if candidate == seq => state,
+            candidate => {
+                self.checkpoint_candidate = candidate;
+                if self.last_executed != seq {
+                    return;
+                }
+                self.engine.snapshot()
+            }
+        };
         ctx.incr("checkpoints", 1);
-        let state = self.engine.snapshot();
         if let Some(dur) = &mut self.durability {
             dur.store_checkpoint(&Snapshot::of_checkpoint(
                 seq,
@@ -2007,6 +2031,27 @@ impl ReplicaNode {
             }
         }
         if is_primary {
+            // A client's retry can reach the new primary while this
+            // view's log already holds its request: parked during the
+            // view change, or arriving before the adopted block executes.
+            // `proposed_table` was cleared when the view change began and
+            // `client_table` knows only executed requests, so rebuild the
+            // former from the log and drop parked copies; otherwise the
+            // request commits at a second seq.
+            let view = self.view;
+            let logged: HashSet<(u32, u64)> = self
+                .slots
+                .range(self.last_stable.get() + 1..)
+                .filter(|(_, slot)| slot.committed || slot.view == Some(view))
+                .flat_map(|(_, slot)| slot.requests.iter().flatten())
+                .map(|r| (r.client.get(), r.timestamp))
+                .collect();
+            for &(client, timestamp) in &logged {
+                let proposed = self.proposed_table.entry(client).or_insert(0);
+                *proposed = (*proposed).max(timestamp);
+            }
+            self.pending
+                .retain(|r| !logged.contains(&(r.client.get(), r.timestamp)));
             self.next_proposal = SeqNum::new(
                 self.next_proposal
                     .get()
@@ -2128,6 +2173,7 @@ impl ReplicaNode {
         self.state_request_outstanding = false;
         ctx.charge_cpu_ns(self.cost.hash(64 * state.len()));
         self.engine.install(state.clone(), seq, digest);
+        self.checkpoint_candidate = None;
         self.last_executed = seq;
         self.last_stable = seq;
         self.stable_cert = Some((digest, pi));
@@ -3072,6 +3118,78 @@ mod tests {
         assert_eq!(node.pending.len(), 1, "request parks for the new view");
     }
 
+    /// Regression (exactly-once): a new primary re-proposed a request
+    /// that the new view's log already carried, so it committed at two
+    /// seqs. `proposed_table` is cleared when a view change starts and
+    /// `client_table` only knows executed requests, so a client retry
+    /// that was parked during the view change, or that arrived after the
+    /// install but before the adopted block executed, went out again at
+    /// the next seq. Seen as a DUPLICATE verdict in the TCP
+    /// `partition-heal` chaos plan.
+    #[test]
+    fn new_primary_never_reproposes_a_request_its_new_view_carries() {
+        let config = ProtocolConfig::new(1, 0, VariantFlags::SBFT);
+        let keys = KeyMaterial::generate(&config, 0x5eed);
+        let client = ClientId::new(0);
+        let request = ClientRequest::signed(
+            client,
+            28,
+            b"put k v".to_vec(),
+            &keys.public.client_keys(client),
+        );
+        // The quorum's evidence carries the request at seq 1 into view 1,
+        // whose primary is replica 1.
+        let plan = NewViewPlan {
+            view: ViewNum::new(1),
+            stable: SeqNum::ZERO,
+            stable_checkpoint: None,
+            decisions: vec![(
+                SeqNum::new(1),
+                SlotDecision::Propose {
+                    requests: vec![request.clone()],
+                },
+            )],
+        };
+        for retry_parked in [true, false] {
+            let mut node = ReplicaNode::new(
+                config.clone(),
+                ReplicaId::new(1),
+                &keys,
+                Box::new(KvService::new()),
+                CryptoCostModel::free(),
+            );
+            let mut rng = SimRng::new(0);
+            let mut metrics = Metrics::new(false);
+            let mut next_timer_id = 0u64;
+            let mut ctx =
+                Context::external(SimTime::ZERO, 1, &mut rng, &mut metrics, &mut next_timer_id);
+            node.start_view_change(&mut ctx, ViewNum::new(1));
+            if retry_parked {
+                node.on_message(config.n(), SbftMsg::Request(request.clone()), &mut ctx);
+            }
+            node.apply_plan(&mut ctx, plan.clone());
+            if !retry_parked {
+                node.on_message(config.n(), SbftMsg::Request(request.clone()), &mut ctx);
+            }
+            let effects = ctx.into_effects();
+
+            assert!(node.is_primary() && !node.in_view_change);
+            let proposals: Vec<_> = effects
+                .sends
+                .iter()
+                .filter_map(|(_, msg)| match msg {
+                    SbftMsg::PrePrepare { seq, .. } => Some(seq.get()),
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                proposals.is_empty(),
+                "retry parked = {retry_parked}: request re-proposed at seqs {proposals:?}"
+            );
+            assert!(node.pending.is_empty(), "retry parked = {retry_parked}");
+        }
+    }
+
     /// Regression (liveness): the view-change backoff used to double
     /// forever — `vc_attempts` only reset when the *watchdog* later
     /// observed progress, so a commit landing right after a view-change
@@ -3334,11 +3452,6 @@ mod tests {
         assert!(!node.slots.contains_key(&99));
     }
 
-    /// Regression: a §V-A resend of a client's latest executed request
-    /// was dropped silently once the stable checkpoint had collected its
-    /// result — the client table knew the timestamp, the executed-request
-    /// index no longer did. The client table now keeps the latest result,
-    /// so every replica answers and the client gets f+1 matching replies.
     #[test]
     fn every_stable_checkpoint_holds_the_state_it_certifies() {
         use crate::testkit::{Cluster, ClusterConfig, Workload};
@@ -3348,10 +3461,12 @@ mod tests {
         // A checkpoint taken then must not label the later state with
         // the earlier sequence number: state transfer would serve a
         // snapshot whose root never matches, and recovery would replay
-        // the WAL on top of blocks it already holds.
+        // the WAL on top of blocks it already holds. Nor may trailing
+        // proofs hold checkpoints back until execution drains.
+        let period = 4;
         for seed in 1..=4u64 {
             let mut cluster_config = ClusterConfig::small(1, 0, VariantFlags::SBFT);
-            cluster_config.protocol.checkpoint_period = 4;
+            cluster_config.protocol.checkpoint_period = period;
             cluster_config.protocol.batch_delay = SimDuration::ZERO;
             cluster_config.clients = 8;
             cluster_config.seed = seed;
@@ -3376,9 +3491,25 @@ mod tests {
                     checkpoint.seq.get()
                 );
             }
+            // Summed over replicas: one checkpoint per two periods of
+            // executed blocks at the least (one per period is the ideal).
+            let metrics = cluster.sim.metrics();
+            let (checkpoints, executed) = (
+                metrics.counter("checkpoints"),
+                metrics.counter("executed_blocks"),
+            );
+            assert!(
+                checkpoints * 2 * period >= executed,
+                "seed {seed}: {checkpoints} checkpoints for {executed} executed blocks"
+            );
         }
     }
 
+    /// Regression: a §V-A resend of a client's latest executed request
+    /// was dropped silently once the stable checkpoint had collected its
+    /// result — the client table knew the timestamp, the executed-request
+    /// index no longer did. The client table now keeps the latest result,
+    /// so every replica answers and the client gets f+1 matching replies.
     #[test]
     fn resend_after_stable_checkpoint_gets_f_plus_1_matching_replies() {
         use crate::testkit::{Cluster, ClusterConfig, Workload};

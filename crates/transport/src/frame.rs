@@ -122,50 +122,6 @@ where
     Ok(total)
 }
 
-/// Rejects a length prefix over `max_frame` as
-/// [`io::ErrorKind::InvalidData`] — before anything is allocated for it.
-fn check_len(len: usize, max_frame: usize) -> io::Result<()> {
-    if len > max_frame {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap of {max_frame}"),
-        ));
-    }
-    Ok(())
-}
-
-/// Reads one frame. Returns `Ok(None)` on a clean end-of-stream (the peer
-/// closed between frames); a close mid-frame is [`io::ErrorKind::UnexpectedEof`].
-///
-/// # Errors
-///
-/// Propagates I/O errors; rejects frames longer than `max_frame` as
-/// [`io::ErrorKind::InvalidData`] (a corrupt or hostile length prefix must
-/// not make us allocate unboundedly).
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    // Hand-rolled first read so a clean close (zero bytes) is not an error.
-    let mut filled = 0;
-    while filled < header.len() {
-        let n = r.read(&mut header[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-header",
-            ));
-        }
-        filled += n;
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    check_len(len, max_frame)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
 /// The length-prefix parser, without I/O: bytes go in through
 /// [`FrameParser::read_from`] (one `read` call each), whole frames come
 /// out of [`FrameParser::next_frame`]. The blocking [`FrameReader`] and
@@ -249,7 +205,13 @@ impl FrameParser {
             return Ok(None);
         };
         let len = u32::from_le_bytes(*header) as usize;
-        check_len(len, self.max_frame)?;
+        if len > self.max_frame {
+            // Rejected before anything is allocated for it.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds cap of {}", self.max_frame),
+            ));
+        }
         let body = &buffered[FRAME_HEADER_BYTES..];
         if FRAME_HEADER_BYTES + len > self.buf.len() {
             // Larger than the buffer: what has arrived moves into the
@@ -271,11 +233,11 @@ impl FrameParser {
 }
 
 /// Blocking frame decoder over any [`Read`]: a [`FrameParser`] fed by
-/// `read` calls on `inner`. Semantics match [`read_frame`] exactly —
-/// clean close between frames is `Ok(None)`, a close mid-frame is
-/// [`io::ErrorKind::UnexpectedEof`], and a length prefix over
-/// `max_frame` is [`io::ErrorKind::InvalidData`] — but one `read`
-/// syscall can surface many small frames.
+/// `read` calls on `inner`, so one `read` syscall can surface many
+/// small frames. A clean close between frames is `Ok(None)`, a close
+/// mid-frame is [`io::ErrorKind::UnexpectedEof`], and a length prefix
+/// over `max_frame` is [`io::ErrorKind::InvalidData`] (a corrupt or
+/// hostile length prefix must not make us allocate unboundedly).
 pub struct FrameReader<R> {
     inner: R,
     parser: FrameParser,
@@ -295,7 +257,7 @@ impl<R: Read> FrameReader<R> {
     ///
     /// # Errors
     ///
-    /// As [`read_frame`]: I/O errors propagate, oversized frames are
+    /// I/O errors propagate, oversized frames are
     /// [`io::ErrorKind::InvalidData`], truncation is
     /// [`io::ErrorKind::UnexpectedEof`].
     pub fn read_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
@@ -319,7 +281,7 @@ impl<R: Read> FrameReader<R> {
     ///
     /// # Errors
     ///
-    /// As [`read_msg`]: a clean close before the frame is
+    /// As [`Self::read_frame`]; a clean close before the frame is
     /// [`io::ErrorKind::UnexpectedEof`], decode failures are
     /// [`io::ErrorKind::InvalidData`].
     pub fn read_msg<M: Wire>(&mut self) -> io::Result<M> {
@@ -343,27 +305,16 @@ pub fn write_msg<M: Wire>(w: &mut impl Write, msg: &M) -> io::Result<usize> {
     write_frame(w, &msg.to_wire_bytes())
 }
 
-/// Reads and decodes a [`Wire`] value from one frame.
-///
-/// # Errors
-///
-/// I/O errors propagate; decode failures and a clean close both surface
-/// as [`io::ErrorKind::InvalidData`] / [`io::ErrorKind::UnexpectedEof`].
-pub fn read_msg<M: Wire>(r: &mut impl Read, max_frame: usize) -> io::Result<M> {
-    let payload = read_frame(r, max_frame)?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed before frame",
-        )
-    })?;
-    M::from_wire_bytes(&payload)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// Reads one frame from `wire` through a header-sized buffer, so any
+    /// payload takes the parser's direct-read path.
+    fn read_frame(wire: &[u8], max_frame: usize) -> io::Result<Option<Vec<u8>>> {
+        FrameReader::new(wire, FRAME_HEADER_BYTES, max_frame).read_frame()
+    }
 
     #[test]
     fn frame_round_trip_with_exact_accounting() {
@@ -373,9 +324,7 @@ mod tests {
         assert_eq!(written, payload.len() + FRAME_HEADER_BYTES);
         assert_eq!(written, framed_len(&payload));
         assert_eq!(buf.len(), written, "accounting matches bytes on the wire");
-        let back = read_frame(&mut Cursor::new(&buf), DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
+        let back = read_frame(&buf, DEFAULT_MAX_FRAME).unwrap().unwrap();
         assert_eq!(back, payload);
     }
 
@@ -384,18 +333,16 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &[]).unwrap();
         assert_eq!(buf.len(), FRAME_HEADER_BYTES);
-        let back = read_frame(&mut Cursor::new(&buf), DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
+        let back = read_frame(&buf, DEFAULT_MAX_FRAME).unwrap().unwrap();
         assert!(back.is_empty());
     }
 
     #[test]
     fn clean_close_is_none_mid_header_is_error() {
         let empty: &[u8] = &[];
-        assert!(read_frame(&mut Cursor::new(empty), 64).unwrap().is_none());
+        assert!(read_frame(empty, 64).unwrap().is_none());
         let partial: &[u8] = &[3, 0];
-        let err = read_frame(&mut Cursor::new(partial), 64).unwrap_err();
+        let err = read_frame(partial, 64).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -403,7 +350,7 @@ mod tests {
     fn oversized_frame_rejected_without_allocation() {
         let mut buf = Vec::new();
         write_frame(&mut buf, &[0u8; 100]).unwrap();
-        let err = read_frame(&mut Cursor::new(&buf), 64).unwrap_err();
+        let err = read_frame(&buf, 64).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -412,7 +359,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &[7u8; 32]).unwrap();
         buf.truncate(buf.len() - 5);
-        let err = read_frame(&mut Cursor::new(&buf), 64).unwrap_err();
+        let err = read_frame(&buf, 64).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -652,13 +599,15 @@ mod tests {
         let hs = Handshake { node_id: 42 };
         let mut buf = Vec::new();
         write_msg(&mut buf, &hs).unwrap();
-        let back: Handshake = read_msg(&mut Cursor::new(&buf), 64).unwrap();
+        let back: Handshake = FrameReader::new(&buf[..], 64, 64).read_msg().unwrap();
         assert_eq!(back, hs);
 
         // Corrupt the magic: must be rejected, not misread.
         let mut bad = buf.clone();
         bad[FRAME_HEADER_BYTES] = b'X';
-        let err = read_msg::<Handshake>(&mut Cursor::new(&bad), 64).unwrap_err();
+        let err = FrameReader::new(&bad[..], 64, 64)
+            .read_msg::<Handshake>()
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -53,8 +53,8 @@ pub mod verify;
 
 pub use config::{ClusterSpec, ConfigError, TransportProfile, VariantName};
 pub use frame::{
-    encode_frame_into, framed_len, read_frame, read_msg, write_frame, write_frames, write_msg,
-    FrameParser, FrameReader, Handshake, DEFAULT_MAX_FRAME, FRAME_HEADER_BYTES,
+    encode_frame_into, framed_len, write_frame, write_frames, write_msg, FrameParser, FrameReader,
+    Handshake, DEFAULT_MAX_FRAME, FRAME_HEADER_BYTES,
 };
 pub use inbound::InboundLoop;
 pub use runtime::NodeRuntime;

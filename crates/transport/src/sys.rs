@@ -1,11 +1,12 @@
-//! The two operating-system primitives the transport's event loops need
-//! beyond `std`: `ppoll(2)`, declared through `extern "C"` (the workspace
-//! takes no dependencies), and a wake pipe built on
-//! [`UnixStream::pair`] that rouses a thread parked in it. Linux-only,
-//! like the rest of the deployment surface.
+//! The operating-system primitives the transport's event loops need
+//! beyond `std`: `ppoll(2)` and a non-blocking `connect(2)`, declared
+//! through `extern "C"` (the workspace takes no dependencies), and a
+//! wake pipe built on [`UnixStream::pair`] that rouses a thread parked
+//! in it. Linux-only, like the rest of the deployment surface.
 
 use std::io::{self, Read, Write};
-use std::os::fd::{AsRawFd, RawFd};
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,6 +52,8 @@ extern "C" {
         timeout: *const Timespec,
         sigmask: *const c_void,
     ) -> c_int;
+    fn socket(domain: c_int, kind: c_int, protocol: c_int) -> c_int;
+    fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
 }
 
 /// Waits until one of `fds` is ready or `timeout` passes (`None` waits
@@ -87,6 +90,87 @@ pub(crate) fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<
         fds.iter_mut().for_each(|fd| fd.revents = 0);
     }
     Ok(())
+}
+
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
+const SOCK_STREAM: c_int = 1;
+const SOCK_NONBLOCK: c_int = 0o4000;
+const SOCK_CLOEXEC: c_int = 0o2000000;
+const EINPROGRESS: i32 = 115;
+
+/// `struct sockaddr_in`; port and address in network byte order.
+#[repr(C)]
+struct SockaddrIn {
+    family: u16,
+    port: u16,
+    addr: [u8; 4],
+    zero: [u8; 8],
+}
+
+/// `struct sockaddr_in6`.
+#[repr(C)]
+struct SockaddrIn6 {
+    family: u16,
+    port: u16,
+    flowinfo: u32,
+    addr: [u8; 16],
+    scope_id: u32,
+}
+
+/// Starts a TCP connect to `addr` without waiting for it: the returned
+/// non-blocking stream polls writable (`POLLOUT`) once the attempt has
+/// an outcome, which [`TcpStream::take_error`] then reports. Errors
+/// known at once (no route, no descriptors) return here.
+pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
+    let v4;
+    let v6;
+    let (domain, sockaddr, len) = match addr {
+        SocketAddr::V4(a) => {
+            v4 = SockaddrIn {
+                family: AF_INET,
+                port: a.port().to_be(),
+                addr: a.ip().octets(),
+                zero: [0; 8],
+            };
+            let ptr = &v4 as *const SockaddrIn as *const c_void;
+            (AF_INET, ptr, std::mem::size_of::<SockaddrIn>())
+        }
+        SocketAddr::V6(a) => {
+            v6 = SockaddrIn6 {
+                family: AF_INET6,
+                port: a.port().to_be(),
+                flowinfo: a.flowinfo(),
+                addr: a.ip().octets(),
+                scope_id: a.scope_id(),
+            };
+            let ptr = &v6 as *const SockaddrIn6 as *const c_void;
+            (AF_INET6, ptr, std::mem::size_of::<SockaddrIn6>())
+        }
+    };
+    // SAFETY: plain syscall with integer arguments.
+    let fd = unsafe {
+        socket(
+            c_int::from(domain),
+            SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+            0,
+        )
+    };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` is a fresh descriptor that nothing else owns.
+    let stream = TcpStream::from(unsafe { OwnedFd::from_raw_fd(fd) });
+    // SAFETY: `sockaddr` points at `len` initialised bytes of a
+    // `repr(C)` sockaddr (`v4` or `v6`), alive until the call returns;
+    // the kernel only reads them.
+    if unsafe { connect(fd, sockaddr, len as u32) } < 0 {
+        let err = io::Error::last_os_error();
+        if err.raw_os_error() != Some(EINPROGRESS) {
+            return Err(err);
+        }
+    }
+    Ok(stream)
 }
 
 /// The sending half of a wake pipe, shared by every thread that may

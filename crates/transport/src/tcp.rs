@@ -24,9 +24,10 @@
 //! sends are written from the calling thread (one `write` syscall, no
 //! handoff) whenever the socket has room. Each node has **one writer
 //! thread** (`sbft-writer-<node>`) for the cold paths only —
-//! (re)connecting with capped exponential backoff, and draining the
-//! bounded backlog that accumulates while a socket is full or down,
-//! coalescing it into large writes on `POLLOUT`. With nothing to do it
+//! (re)connecting with capped exponential backoff through non-blocking
+//! connects, and draining the bounded backlog that accumulates while a
+//! socket is full or down, coalescing it into large writes on
+//! `POLLOUT`. With nothing to do it
 //! parks in `ppoll` with no timeout. While a peer is down, sends overflow
 //! the backlog and are dropped with a counter bump — BFT protocols
 //! tolerate message loss and the client retry logic regenerates any
@@ -860,31 +861,36 @@ struct WriterConfig {
     coalesce_budget: usize,
 }
 
-fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+/// Starts a non-blocking connect to `addr` (resolved on every attempt;
+/// an `ip:port` resolves without a lookup, a host name blocks on one).
+fn start_connect(addr: &str) -> io::Result<TcpStream> {
     let resolved = addr
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing"))?;
-    TcpStream::connect_timeout(&resolved, timeout)
+    sys::connect_nonblocking(&resolved)
 }
 
-/// Dials `peer` and sends the handshake; on success installs the
-/// non-blocking socket and returns its registry entry.
-fn dial_peer(
+/// Completes a dial once its connect polled ready: checks the outcome,
+/// sends the handshake and installs the socket; returns its registry
+/// entry.
+fn finish_dial(
     config: &WriterConfig,
     peer: &Peer,
+    mut stream: TcpStream,
     shared: &Arc<Shared>,
 ) -> io::Result<RegistryGuard> {
-    let mut stream = connect(&peer.addr, config.connect_timeout)?;
+    if let Some(err) = stream.take_error()? {
+        return Err(err);
+    }
+    stream.peer_addr()?; // not connected after all (a bare hang-up)
     let _ = stream.set_nodelay(true);
-    // The handshake goes out while the socket is still blocking (a
-    // fresh socket's buffer has room; blocking is simplest).
+    // A fresh socket's send buffer has room for the handshake; a socket
+    // that cannot take it whole is treated as a failed dial.
     let handshake = Handshake {
         node_id: config.node_id as u64,
     };
     let written = frame::write_msg(&mut stream, &handshake)?;
-    stream.flush()?;
-    stream.set_nonblocking(true)?;
     shared.counters.connects.inc();
     shared.counters.bytes_sent.add(written as u64);
     let guard = RegistryGuard::register(shared, peer.id, &stream);
@@ -900,69 +906,88 @@ struct Dial {
     backoff: Duration,
     /// When the next connect attempt is due (`None`: now).
     retry_at: Option<Instant>,
+    /// The connect in flight and when it gives up.
+    connecting: Option<(TcpStream, Instant)>,
     /// Registry entry of the current connection epoch.
     guard: Option<RegistryGuard>,
 }
 
+impl Dial {
+    /// Schedules the next attempt one backoff step out, then doubles the
+    /// step up to the cap.
+    fn failed(&mut self, config: &WriterConfig, now: Instant) {
+        self.connecting = None;
+        self.retry_at = Some(now + self.backoff);
+        self.backoff = (self.backoff * 2).min(config.reconnect_max);
+    }
+}
+
 /// The node's writer thread: (re)connects every down peer with capped
 /// backoff, drains backlogs the inline path left behind, and otherwise
-/// parks in `ppoll` — on the wake pipe, on `POLLOUT` for sockets with a
-/// backlog, and on errors for every live socket (so a severed or reset
-/// connection is re-dialed without waiting for the next send). The only
-/// timeout is the earliest due reconnect; an idle healthy node parks
-/// indefinitely. Connects block for up to `connect_timeout`, delaying
-/// other peers' backlog drains meanwhile (inline sends still go out);
-/// a refused connect on loopback or a LAN returns at once.
+/// parks in `ppoll` — on the wake pipe, on `POLLOUT` for connects in
+/// flight and sockets with a backlog, and on errors for every live
+/// socket (so a severed or reset connection is re-dialed without waiting
+/// for the next send). Connects are non-blocking, so a peer whose SYNs
+/// vanish costs nothing but its `connect_timeout` deadline while other
+/// peers' backlogs keep draining. The only timeouts are due reconnects
+/// and connect deadlines; an idle healthy node parks indefinitely.
 fn writer_loop(config: WriterConfig, peers: Vec<Arc<Peer>>, wake: WakePipe, shared: Arc<Shared>) {
     let mut dials: Vec<Dial> = peers
         .iter()
         .map(|_| Dial {
             backoff: config.reconnect_base,
             retry_at: None,
+            connecting: None,
             guard: None,
         })
         .collect();
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut polled: Vec<usize> = Vec::new();
+    // Per polled descriptor after the wake pipe: (peer index, connecting).
+    let mut polled: Vec<(usize, bool)> = Vec::new();
     while !shared.is_shutdown() {
         fds.clear();
         polled.clear();
         fds.push(wake.pollfd());
-        let mut next_retry: Option<Instant> = None;
+        let mut wake_at: Option<Instant> = None;
+        let mut wake_by = |at: Instant| wake_at = Some(wake_at.map_or(at, |w| w.min(at)));
         for (i, (peer, dial)) in peers.iter().zip(&mut dials).enumerate() {
+            let now = Instant::now();
             let down = peer.out.lock().expect("peer lock").stream.is_none();
             if down {
                 dial.guard = None; // the old epoch's socket is gone
-                if dial.retry_at.is_none_or(|at| at <= Instant::now()) {
-                    match dial_peer(&config, peer, &shared) {
-                        Ok(guard) => {
-                            dial.guard = Some(guard);
-                            dial.backoff = config.reconnect_base;
-                            dial.retry_at = None;
-                        }
-                        Err(_) => {
-                            dial.retry_at = Some(Instant::now() + dial.backoff);
-                            dial.backoff = (dial.backoff * 2).min(config.reconnect_max);
+                match &dial.connecting {
+                    Some((_, deadline)) if *deadline <= now => dial.failed(&config, now),
+                    Some(_) => {}
+                    None if dial.retry_at.is_none_or(|at| at <= now) => {
+                        match start_connect(&peer.addr) {
+                            Ok(stream) => {
+                                dial.connecting = Some((stream, now + config.connect_timeout));
+                            }
+                            Err(_) => dial.failed(&config, now),
                         }
                     }
+                    None => {}
                 }
+            }
+            if let Some((stream, deadline)) = &dial.connecting {
+                fds.push(PollFd::new(stream, POLLOUT));
+                polled.push((i, true));
+                wake_by(*deadline);
+                continue;
             }
             let mut out = peer.out.lock().expect("peer lock");
             let pending = out.flush(config.coalesce_budget, &shared.counters);
             match &out.stream {
                 Some(stream) => {
                     fds.push(PollFd::new(stream, if pending { POLLOUT } else { 0 }));
-                    polled.push(i);
+                    polled.push((i, false));
                 }
-                None => {
-                    // Died just now (flush error): re-dial on the next
-                    // pass without waiting for a backoff step.
-                    let at = dial.retry_at.unwrap_or_else(Instant::now);
-                    next_retry = Some(next_retry.map_or(at, |next| next.min(at)));
-                }
+                // Down: the next attempt is due then (or now, for a
+                // socket that just died in the flush).
+                None => wake_by(dial.retry_at.unwrap_or(now)),
             }
         }
-        let timeout = next_retry.map(|at| at.saturating_duration_since(Instant::now()));
+        let timeout = wake_at.map(|at| at.saturating_duration_since(Instant::now()));
         if sys::poll(&mut fds, timeout).is_err() {
             // Unreachable with valid descriptors; never spin on it.
             thread::sleep(config.reconnect_base);
@@ -971,11 +996,27 @@ fn writer_loop(config: WriterConfig, peers: Vec<Arc<Peer>>, wake: WakePipe, shar
         if fds[0].revents != 0 {
             wake.drain(&shared.writer_waker);
         }
-        for (fd, i) in fds[1..].iter().zip(&polled) {
+        for (fd, &(i, connecting)) in fds[1..].iter().zip(&polled) {
+            if connecting {
+                if fd.revents == 0 {
+                    continue;
+                }
+                let dial = &mut dials[i];
+                let (stream, _) = dial.connecting.take().expect("polled connect");
+                match finish_dial(&config, &peers[i], stream, &shared) {
+                    Ok(guard) => {
+                        dial.guard = Some(guard);
+                        dial.backoff = config.reconnect_base;
+                        dial.retry_at = None;
+                    }
+                    Err(_) => dial.failed(&config, Instant::now()),
+                }
+                continue;
+            }
             if fd.revents & POLL_FAILED == 0 {
                 continue;
             }
-            let mut out = peers[*i].out.lock().expect("peer lock");
+            let mut out = peers[i].out.lock().expect("peer lock");
             // Senders can take a socket (mark it dead) but never install
             // one, so a socket still holding this descriptor failed.
             if out.stream.as_ref().map(AsRawFd::as_raw_fd) == Some(fd.fd) {
@@ -1331,6 +1372,72 @@ mod tests {
         assert!(
             t0.control().stats().connects >= 2,
             "writer must have reconnected"
+        );
+    }
+
+    /// A peer whose SYNs vanish must not stall the node's writer: while
+    /// that connect is pending, a severed healthy peer is re-dialed and
+    /// its backlog drains, and dropping the transport does not wait out
+    /// the connect. The black hole is a listener whose accept queue is
+    /// full, so the kernel drops further SYNs without answering.
+    #[test]
+    fn unreachable_peer_does_not_stall_other_peers() {
+        extern "C" {
+            fn listen(fd: std::os::raw::c_int, backlog: std::os::raw::c_int)
+                -> std::os::raw::c_int;
+        }
+        let hole = TcpListener::bind("127.0.0.1:0").unwrap();
+        // SAFETY: `hole` is a valid listening socket; a repeated
+        // `listen` only shrinks its accept queue.
+        assert_eq!(unsafe { listen(hole.as_raw_fd(), 0) }, 0);
+        let hole_addr = hole.local_addr().unwrap();
+        let mut queued = Vec::new();
+        while let Ok(s) = TcpStream::connect_timeout(&hole_addr, Duration::from_millis(300)) {
+            queued.push(s);
+            assert!(queued.len() < 16, "the accept queue never filled");
+        }
+
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = vec![
+            (0, l0.local_addr().unwrap().to_string()),
+            (1, l1.local_addr().unwrap().to_string()),
+            (2, hole_addr.to_string()),
+        ];
+        let mut config = TransportConfig::new(0, peers.clone());
+        config.connect_timeout = Duration::from_secs(30);
+        let t0 = TcpTransport::with_listener(config, l0).unwrap();
+        let t1 = TcpTransport::with_listener(TransportConfig::new(1, peers), l1).unwrap();
+
+        let started = Instant::now();
+        t0.send(1, b"first".to_vec());
+        assert_eq!(
+            recv_until(&t1, Duration::from_secs(5)),
+            Some((0, b"first".to_vec())),
+            "the healthy peer connects while the black hole's connect hangs"
+        );
+        assert_eq!(t0.control().sever(1), 1, "node 0's socket to node 1");
+        // Sends after the sever land in the backlog (or are lost with the
+        // dead socket); the writer must re-dial and drain well before
+        // the black hole's 30 s connect gives up.
+        let mut delivered = false;
+        while !delivered && started.elapsed() < Duration::from_secs(5) {
+            t0.send(1, b"after".to_vec());
+            delivered = t1.recv_timeout(Duration::from_millis(50)) == Some((0, b"after".to_vec()));
+        }
+        assert!(delivered, "no delivery to node 1 after the sever");
+        assert_eq!(
+            t0.control().stats().connects,
+            2,
+            "node 1 twice, never the hole"
+        );
+
+        let dropping = Instant::now();
+        drop(t0);
+        assert!(
+            dropping.elapsed() < Duration::from_secs(2),
+            "drop waited {:?} on a pending connect",
+            dropping.elapsed()
         );
     }
 }
