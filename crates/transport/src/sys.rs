@@ -229,3 +229,28 @@ impl WakePipe {
         waker.armed.store(false, Ordering::Release);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// The hand-laid sockaddrs reach the right listener: the accepted
+    /// side sees exactly the dialer's address, over IPv4 and (where the
+    /// host has it) IPv6 loopback.
+    #[test]
+    fn nonblocking_connect_reaches_the_listener() {
+        for listen in ["127.0.0.1:0", "[::1]:0"] {
+            let Ok(listener) = TcpListener::bind(listen) else {
+                continue; // no IPv6 loopback here
+            };
+            let stream = connect_nonblocking(&listener.local_addr().unwrap()).unwrap();
+            let mut fds = [PollFd::new(&stream, POLLOUT)];
+            poll(&mut fds, Some(Duration::from_secs(5))).unwrap();
+            assert_ne!(fds[0].revents & POLLOUT, 0, "{listen}: connect completes");
+            assert!(stream.take_error().unwrap().is_none(), "{listen}");
+            let (_accepted, from) = listener.accept().unwrap();
+            assert_eq!(from, stream.local_addr().unwrap(), "{listen}");
+        }
+    }
+}
